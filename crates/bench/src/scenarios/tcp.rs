@@ -23,7 +23,7 @@
 
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::runtime_sim::MiddleboxSim;
-use sprayer_net::{FiveTuple, FlowKey, Packet, PacketBuilder, TcpFlags};
+use sprayer_net::{FiveTuple, FlowKey, Packet, PacketBuilder, TcpFlags, TcpSegment};
 use sprayer_nf::SyntheticNf;
 use sprayer_sim::stats::jain_fairness_index;
 use sprayer_sim::time::LinkSpeed;
@@ -32,6 +32,7 @@ use sprayer_tcp::{
     AckAction, AckInfo, CongestionControl, Cubic, Receiver, Reno, Sender, SenderConfig,
 };
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Congestion-control choice for the senders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +137,73 @@ const MSS: u32 = 1460;
 const DATA_FRAME: usize = 14 + 20 + 32 + MSS as usize;
 /// Wire size of a pure-ACK frame.
 const ACK_FRAME: usize = 66;
+/// Capacity a recycled frame buffer starts with: room for the largest
+/// frame the scenario builds (an ACK carrying two SACK blocks is 86 B).
+const FRAME_BUF: usize = 128;
+/// Most frame buffers kept for reuse. The middlebox holds the rest of
+/// the frames in flight; past this many idle buffers, returned ones are
+/// freed, so the pool's memory stays bounded whatever the queue depths.
+const FRAME_POOL_CAP: usize = 256;
+
+/// Multiply-rotate hasher for the flow index: a key is a few integers,
+/// looked up once per routed packet, and SipHash's flooding resistance
+/// buys nothing against the scenario's own flows.
+#[derive(Default)]
+struct FlowKeyHasher(u64);
+
+impl Hasher for FlowKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// Frame buffers of egress packets the scenario has routed, reused by
+/// the next frame it builds: in steady state a segment costs no
+/// allocation.
+#[derive(Default)]
+struct FramePool {
+    bufs: Vec<Vec<u8>>,
+}
+
+impl FramePool {
+    fn take(&mut self) -> Vec<u8> {
+        self.bufs
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(FRAME_BUF))
+    }
+
+    fn put(&mut self, buf: Vec<u8>) {
+        if self.bufs.len() < FRAME_POOL_CAP {
+            self.bufs.push(buf);
+        }
+    }
+}
 
 struct Flow {
     tuple: FiveTuple,
@@ -192,12 +260,18 @@ struct TcpScenario {
     cfg: TcpConfig,
     mb: MiddleboxSim<SyntheticNf>,
     flows: Vec<Flow>,
-    by_key: HashMap<FlowKey, usize>,
+    by_key: HashMap<FlowKey, usize, BuildHasherDefault<FlowKeyHasher>>,
     client_link_free: Time,
     server_link_free: Time,
     data_frame_time: Time,
     ack_frame_time: Time,
     builder: PacketBuilder,
+    pool: FramePool,
+    /// Option bytes of the frame being built.
+    opts: Vec<u8>,
+    /// Egress batch being routed; swapped with the middlebox's buffer
+    /// so neither allocates per drain.
+    egress: Vec<(Time, Packet)>,
     rng: SimRng,
     finished: bool,
     /// Earliest MbTick currently scheduled (dedup: without this, every
@@ -211,7 +285,7 @@ impl TcpScenario {
         let mb = MiddleboxSim::new(mb_config, SyntheticNf::for_simulator());
         let mut rng = SimRng::seed_from(cfg.seed);
         let mut flows = Vec::new();
-        let mut by_key = HashMap::new();
+        let mut by_key = HashMap::default();
         for i in 0..cfg.num_flows {
             let tuple = FiveTuple::tcp(
                 rng.next_u32() | 0x0a00_0000,
@@ -247,19 +321,48 @@ impl TcpScenario {
             data_frame_time: LinkSpeed::TEN_GBE.frame_time(DATA_FRAME),
             ack_frame_time: LinkSpeed::TEN_GBE.frame_time(ACK_FRAME),
             builder: PacketBuilder::new(),
+            pool: FramePool::default(),
+            opts: Vec::with_capacity(40),
+            egress: Vec::new(),
             rng,
             finished: false,
             next_tick: None,
         }
     }
 
-    /// 12 bytes of timestamp-style TCP options with varying content, so
-    /// checksums are uniform as on real traffic.
-    fn ts_option(&mut self) -> Vec<u8> {
+    /// Reset the options buffer to 12 bytes of timestamp-style TCP
+    /// options with varying content, so checksums are uniform as on real
+    /// traffic.
+    fn ts_option(&mut self) {
         let v = self.rng.next_u64();
-        let mut opts = vec![0x01, 0x01, 0x08, 0x0a]; // NOP NOP TS(10)
-        opts.extend_from_slice(&v.to_be_bytes());
-        opts
+        self.opts.clear();
+        self.opts.extend_from_slice(&[0x01, 0x01, 0x08, 0x0a]); // NOP NOP TS(10)
+        self.opts.extend_from_slice(&v.to_be_bytes());
+    }
+
+    /// Build a frame into a recycled buffer.
+    fn frame(
+        &mut self,
+        tuple: FiveTuple,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+        with_opts: bool,
+        payload: &[u8],
+    ) -> Packet {
+        let buf = self.pool.take();
+        let options: &[u8] = if with_opts { &self.opts } else { &[] };
+        self.builder.tcp_into(
+            buf,
+            &TcpSegment {
+                tuple,
+                seq,
+                ack,
+                flags,
+                options,
+                payload,
+            },
+        )
     }
 
     fn build_data(&mut self, f: usize, seq: u64) -> Packet {
@@ -267,8 +370,8 @@ impl TcpScenario {
         // docs); seq is truncated to 32 bits for the header, full value
         // travels in the event.
         let payload = self.rng.next_u64().to_be_bytes();
-        self.builder
-            .tcp(self.flows[f].tuple, seq as u32, 0, TcpFlags::ACK, &payload)
+        let tuple = self.flows[f].tuple;
+        self.frame(tuple, seq as u32, 0, TcpFlags::ACK, false, &payload)
     }
 
     /// Build a pure ACK carrying a timestamp option (checksum entropy)
@@ -277,22 +380,18 @@ impl TcpScenario {
     /// the 32-bit wire fields are lossless.
     fn build_ack(&mut self, f: usize, info: AckInfo) -> Packet {
         let tuple = self.flows[f].tuple.reversed();
-        let mut opts = self.ts_option();
-        let blocks: Vec<(u64, u64)> = info.dsack.into_iter().chain(info.sack).collect();
-        if !blocks.is_empty() {
-            opts.extend_from_slice(&[0x01, 0x01]); // NOP NOP
-            opts.push(0x05); // SACK
-            opts.push(2 + 8 * blocks.len() as u8);
-            for (start, end) in &blocks {
-                opts.extend_from_slice(&(*start as u32).to_be_bytes());
-                opts.extend_from_slice(&(*end as u32).to_be_bytes());
+        self.ts_option();
+        let blocks = u8::from(info.dsack.is_some()) + u8::from(info.sack.is_some());
+        if blocks > 0 {
+            // NOP NOP SACK(len)
+            self.opts
+                .extend_from_slice(&[0x01, 0x01, 0x05, 2 + 8 * blocks]);
+            for (start, end) in info.dsack.into_iter().chain(info.sack) {
+                self.opts.extend_from_slice(&(start as u32).to_be_bytes());
+                self.opts.extend_from_slice(&(end as u32).to_be_bytes());
             }
         }
-        let mut pkt_hdr =
-            sprayer_net::TcpHeader::simple(tuple.src_port, tuple.dst_port, 0, TcpFlags::ACK);
-        pkt_hdr.ack = info.ack as u32;
-        pkt_hdr.options = opts;
-        build_frame(tuple, pkt_hdr, &[])
+        self.frame(tuple, 0, info.ack as u32, TcpFlags::ACK, true, &[])
     }
 
     /// Decode SACK/DSACK blocks from raw TCP option bytes: blocks ending
@@ -368,76 +467,54 @@ impl TcpScenario {
         }
     }
 
-    /// Route one middlebox egress packet to its endpoint.
+    /// Route one middlebox egress packet to its endpoint, then recycle
+    /// its frame buffer.
     fn route_egress(&mut self, at: Time, pkt: Packet, sched: &mut Scheduler<Ev>) {
-        let Some(tuple) = pkt.tuple() else { return };
-        let Some(&f) = self.by_key.get(&tuple.key()) else {
-            return;
-        };
+        if let Some(event) = self.arrival(&pkt) {
+            sched.at(at.max(sched.time()) + self.cfg.hop_delay, event);
+        }
+        self.pool.put(pkt.into_bytes());
+    }
+
+    /// The event an egress packet causes when it reaches its endpoint.
+    /// Header fields are read in place from the frame.
+    fn arrival(&self, pkt: &Packet) -> Option<Ev> {
+        let tuple = pkt.tuple()?;
+        let f = *self.by_key.get(&tuple.key())?;
         let flags = pkt.meta().tcp_flags.unwrap_or_default();
         let forward = tuple.src_addr == self.flows[f].tuple.src_addr
             && tuple.src_port == self.flows[f].tuple.src_port;
-        let deliver = at.max(sched.time()) + self.cfg.hop_delay;
         if forward {
             if flags.contains(TcpFlags::SYN) {
-                sched.at(deliver, Ev::IngressServer(f, ServerFrame::SynAck));
                 // (The server's SYN-ACK is serialized when it enters the
                 // middlebox, not here; see IngressServer.)
+                Some(Ev::IngressServer(f, ServerFrame::SynAck))
             } else if pkt.payload().is_some_and(|p| !p.is_empty()) {
                 // Data arriving at the receiver.
-                let seq = u64::from(
-                    sprayer_net::TcpHeader::parse(&pkt.bytes()[pkt.meta().l4_offset.unwrap()..])
-                        .map(|h| h.seq)
-                        .unwrap_or(0),
-                );
-                sched.at(deliver, Ev::DeliveredData(f, seq));
-            }
-        } else {
-            // Reverse direction reaching the client.
-            if flags.contains(TcpFlags::SYN) {
-                sched.at(deliver, Ev::EstablishedAt(f));
+                let seq = pkt.tcp_header().map_or(0, |h| u64::from(h.seq()));
+                Some(Ev::DeliveredData(f, seq))
             } else {
-                let info =
-                    sprayer_net::TcpHeader::parse(&pkt.bytes()[pkt.meta().l4_offset.unwrap()..])
-                        .map(|h| {
-                            let (sack, dsack) = Self::decode_sack(&h.options, u64::from(h.ack));
-                            AckInfo {
-                                ack: u64::from(h.ack),
-                                sack,
-                                dsack,
-                            }
-                        })
-                        .unwrap_or(AckInfo {
-                            ack: 0,
-                            sack: None,
-                            dsack: None,
-                        });
-                sched.at(deliver, Ev::AckAtSender(f, info));
+                None
             }
+        } else if flags.contains(TcpFlags::SYN) {
+            // Reverse direction reaching the client.
+            Some(Ev::EstablishedAt(f))
+        } else {
+            let info = pkt.tcp_header().map_or(
+                AckInfo {
+                    ack: 0,
+                    sack: None,
+                    dsack: None,
+                },
+                |h| {
+                    let ack = u64::from(h.ack());
+                    let (sack, dsack) = Self::decode_sack(h.options(), ack);
+                    AckInfo { ack, sack, dsack }
+                },
+            );
+            Some(Ev::AckAtSender(f, info))
         }
     }
-}
-
-fn build_frame(tuple: FiveTuple, tcp: sprayer_net::TcpHeader, payload: &[u8]) -> Packet {
-    use sprayer_net::{EtherType, EthernetHeader, Ipv4Header, MacAddr};
-    let tcp_len = tcp.header_len() + payload.len();
-    let ip = Ipv4Header::simple(tuple.src_addr, tuple.dst_addr, 6, tcp_len as u16);
-    let frame_len = 14 + ip.header_len() + tcp_len;
-    let mut data = vec![0u8; frame_len.max(60)];
-    EthernetHeader {
-        dst: MacAddr::from_index(2),
-        src: MacAddr::from_index(1),
-        ethertype: EtherType::Ipv4,
-    }
-    .emit(&mut data)
-    .expect("sized");
-    let ip_len = ip.emit(&mut data[14..]).expect("sized");
-    let l4 = 14 + ip_len;
-    let hlen = tcp
-        .emit(&mut data[l4..], ip.pseudo_header(), payload)
-        .expect("sized");
-    data[l4 + hlen..l4 + hlen + payload.len()].copy_from_slice(payload);
-    Packet::parse(data).expect("well-formed")
 }
 
 impl Model for TcpScenario {
@@ -453,21 +530,14 @@ impl Model for TcpScenario {
             Ev::IngressClient(f, frame) => {
                 let pkt = match frame {
                     ClientFrame::Syn => {
-                        let opts = self.ts_option();
+                        self.ts_option();
                         let tuple = self.flows[f].tuple;
-                        let mut hdr = sprayer_net::TcpHeader::simple(
-                            tuple.src_port,
-                            tuple.dst_port,
-                            0,
-                            TcpFlags::SYN,
-                        );
-                        hdr.options = opts;
-                        build_frame(tuple, hdr, &[])
+                        self.frame(tuple, 0, 0, TcpFlags::SYN, true, &[])
                     }
                     ClientFrame::Data { seq } => self.build_data(f, seq),
                 };
                 self.mb.ingress(now, pkt);
-                self.drain_and_tick(now, sched);
+                self.drain_and_tick(sched);
             }
             Ev::IngressServer(f, frame) => {
                 // Frames from the server side serialize on the server link.
@@ -488,7 +558,7 @@ impl Model for TcpScenario {
                     self.next_tick = None;
                 }
                 self.mb.advance_until(now);
-                self.drain_and_tick(now, sched);
+                self.drain_and_tick(sched);
             }
             Ev::DeliveredData(f, seq) => {
                 let action = self.flows[f].receiver.on_segment(seq, u64::from(MSS));
@@ -558,28 +628,22 @@ impl TcpScenario {
         let pkt = match frame {
             ServerFrame::SynAck => {
                 let tuple = self.flows[f].tuple.reversed();
-                let opts = self.ts_option();
-                let mut hdr = sprayer_net::TcpHeader::simple(
-                    tuple.src_port,
-                    tuple.dst_port,
-                    0,
-                    TcpFlags::SYN | TcpFlags::ACK,
-                );
-                hdr.ack = 1;
-                hdr.options = opts;
-                build_frame(tuple, hdr, &[])
+                self.ts_option();
+                self.frame(tuple, 0, 1, TcpFlags::SYN | TcpFlags::ACK, true, &[])
             }
             ServerFrame::Ack { info } => self.build_ack(f, info),
         };
         self.mb.ingress(now, pkt);
-        self.drain_and_tick(now, sched);
+        self.drain_and_tick(sched);
     }
 
-    fn drain_and_tick(&mut self, now: Time, sched: &mut Scheduler<Ev>) {
-        let _ = now;
-        for (at, pkt) in self.mb.take_egress() {
+    fn drain_and_tick(&mut self, sched: &mut Scheduler<Ev>) {
+        let mut egress = std::mem::take(&mut self.egress);
+        self.mb.swap_egress(&mut egress);
+        for (at, pkt) in egress.drain(..) {
             self.route_egress(at, pkt, sched);
         }
+        self.egress = egress;
         self.schedule_mb_tick(sched);
     }
 }

@@ -791,6 +791,15 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         std::mem::take(&mut self.egress)
     }
 
+    /// Drain the forwarded packets by swapping buffers: the packets move
+    /// to `out` (cleared first), and `out`'s old allocation becomes the
+    /// new egress buffer. A caller that keeps one buffer and drains it
+    /// between calls collects egress without allocating.
+    pub fn swap_egress(&mut self, out: &mut Vec<(Time, Packet)>) {
+        out.clear();
+        std::mem::swap(&mut self.egress, out);
+    }
+
     /// Time of the earliest pending internal event, if any.
     pub fn next_event_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
@@ -2560,6 +2569,19 @@ mod tests {
         assert!(egress[0].0 > Time::ZERO);
         assert_eq!(egress[0].1.tuple(), Some(t));
         assert!(mb.take_egress().is_empty(), "take_egress drains");
+
+        let mut out = Vec::with_capacity(4);
+        mb.ingress(
+            Time::from_ms(1),
+            PacketBuilder::new().tcp(t, 1, 0, TcpFlags::ACK, b"x"),
+        );
+        mb.run_until(Time::from_ms(2));
+        mb.swap_egress(&mut out);
+        assert_eq!(out.len(), 1);
+        assert!(
+            mb.take_egress().capacity() >= 4,
+            "the caller's buffer becomes the egress buffer"
+        );
     }
 
     /// NF that counts migration-hook invocations, to pin the export /

@@ -39,8 +39,8 @@ pub use flow::{FiveTuple, FiveTupleV6, FlowKey, FlowKeyV6, Protocol};
 pub use ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 pub use ipv6::{Ipv6Header, IPV6_HEADER_LEN};
 pub use mac::MacAddr;
-pub use packet::{Packet, PacketBuilder, PacketMeta};
-pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
+pub use packet::{Packet, PacketBuilder, PacketMeta, TcpSegment};
+pub use tcp::{TcpFlags, TcpHeader, TcpHeaderView, TCP_HEADER_LEN};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};
 
 /// Errors produced while parsing or emitting wire formats.

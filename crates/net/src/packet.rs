@@ -11,7 +11,7 @@ use crate::ethernet::{EtherType, EthernetHeader, ETHERNET_HEADER_LEN};
 use crate::flow::{FiveTuple, Protocol};
 use crate::ipv4::{proto, Ipv4Header};
 use crate::mac::MacAddr;
-use crate::tcp::{TcpFlags, TcpHeader};
+use crate::tcp::{TcpFlags, TcpHeader, TcpHeaderView};
 use crate::udp::UdpHeader;
 use crate::{be16, put16, put32, NetError, Result};
 use serde::{Deserialize, Serialize};
@@ -90,16 +90,16 @@ impl Packet {
             if !is_fragment {
                 match ip.protocol {
                     proto::TCP => {
-                        let tcp = TcpHeader::parse(&data[l4_offset..])?;
+                        let tcp = TcpHeaderView::parse(&data[l4_offset..])?;
                         meta.tuple = Some(FiveTuple {
                             src_addr: ip.src,
                             dst_addr: ip.dst,
-                            src_port: tcp.src_port,
-                            dst_port: tcp.dst_port,
+                            src_port: tcp.src_port(),
+                            dst_port: tcp.dst_port(),
                             protocol: Protocol::Tcp,
                         });
-                        meta.tcp_flags = Some(tcp.flags);
-                        meta.tcp_checksum = Some(tcp.checksum);
+                        meta.tcp_flags = Some(tcp.flags());
+                        meta.tcp_checksum = Some(tcp.checksum());
                         let off = l4_offset + tcp.header_len();
                         meta.payload_offset = Some(off);
                         meta.payload_len = Some(
@@ -164,6 +164,16 @@ impl Packet {
             (Some(o), Some(len)) => Some(&self.data[o..o + len]),
             _ => None,
         }
+    }
+
+    /// The TCP header read in place, if this is an unfragmented IPv4
+    /// TCP packet.
+    pub fn tcp_header(&self) -> Option<TcpHeaderView<'_>> {
+        if !self.meta.is_tcp() {
+            return None;
+        }
+        let l4 = self.meta.l4_offset?;
+        TcpHeaderView::parse(&self.data[l4..]).ok()
     }
 
     /// Whether this is a connection packet (§3.2).
@@ -270,6 +280,23 @@ impl Packet {
     }
 }
 
+/// The fields of one TCP segment for [`PacketBuilder::tcp_into`].
+#[derive(Debug, Clone, Copy)]
+pub struct TcpSegment<'a> {
+    /// Endpoints; must be TCP.
+    pub tuple: FiveTuple,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgement number.
+    pub ack: u32,
+    /// Flag bits.
+    pub flags: TcpFlags,
+    /// Raw option bytes: a multiple of 4, at most 40.
+    pub options: &'a [u8],
+    /// Transport payload.
+    pub payload: &'a [u8],
+}
+
 /// Builds complete frames with correct checksums.
 ///
 /// Defaults: locally administered MACs, TTL 64, don't-fragment, window
@@ -336,34 +363,85 @@ impl PacketBuilder {
         flags: TcpFlags,
         payload: &[u8],
     ) -> Packet {
+        self.tcp_into(
+            Vec::new(),
+            &TcpSegment {
+                tuple,
+                seq,
+                ack,
+                flags,
+                options: &[],
+                payload,
+            },
+        )
+    }
+
+    /// Build a TCP/IPv4 frame into `buf`, reusing its allocation (its
+    /// contents are overwritten). A caller that recycles the bytes of
+    /// packets it is done with builds frames without allocating.
+    ///
+    /// # Panics
+    /// If `seg.tuple` is not TCP, or the options are not a multiple of 4
+    /// bytes or exceed 40.
+    pub fn tcp_into(&self, mut buf: Vec<u8>, seg: &TcpSegment<'_>) -> Packet {
+        let tuple = seg.tuple;
         assert_eq!(tuple.protocol, Protocol::Tcp, "tuple must be TCP");
-        let tcp_len = crate::tcp::TCP_HEADER_LEN + payload.len();
+        let tcp_len = crate::tcp::TCP_HEADER_LEN + seg.options.len() + seg.payload.len();
+        assert!(
+            crate::ipv4::IPV4_HEADER_LEN + tcp_len <= usize::from(u16::MAX),
+            "builder emits well-formed frames: segment exceeds an IPv4 total length"
+        );
         let mut ip = Ipv4Header::simple(tuple.src_addr, tuple.dst_addr, proto::TCP, tcp_len as u16);
         ip.ttl = self.ttl;
         let frame_len = ETHERNET_HEADER_LEN + ip.header_len() + tcp_len;
-        let mut data = vec![0u8; frame_len.max(if self.pad_to_min { MIN_FRAME_LEN } else { 0 })];
+        buf.clear();
+        buf.resize(
+            frame_len.max(if self.pad_to_min { MIN_FRAME_LEN } else { 0 }),
+            0,
+        );
+        let data = &mut buf;
 
         let eth = EthernetHeader {
             dst: self.dst_mac,
             src: self.src_mac,
             ethertype: EtherType::Ipv4,
         };
-        eth.emit(&mut data).expect("buffer sized above");
+        eth.emit(data).expect("buffer sized above");
         let ip_len = ip
             .emit(&mut data[ETHERNET_HEADER_LEN..])
             .expect("buffer sized above");
         let l4 = ETHERNET_HEADER_LEN + ip_len;
 
-        let mut tcp = TcpHeader::simple(tuple.src_port, tuple.dst_port, seq, flags);
-        tcp.ack = ack;
+        let mut tcp = TcpHeader::simple(tuple.src_port, tuple.dst_port, seg.seq, seg.flags);
+        tcp.ack = seg.ack;
         tcp.window = self.window;
         let pseudo = ip.pseudo_header();
         let tcp_hlen = tcp
-            .emit(&mut data[l4..], pseudo, payload)
-            .expect("buffer sized above");
-        data[l4 + tcp_hlen..l4 + tcp_hlen + payload.len()].copy_from_slice(payload);
+            .emit_with_options(seg.options, &mut data[l4..], pseudo, seg.payload)
+            .expect("TCP options must be a multiple of 4 bytes, at most 40");
+        let payload_offset = l4 + tcp_hlen;
+        data[payload_offset..payload_offset + seg.payload.len()].copy_from_slice(seg.payload);
 
-        Packet::parse(data).expect("builder emits well-formed frames")
+        // Every header field is known here, so the metadata is filled in
+        // directly rather than by parsing the frame back.
+        let meta = PacketMeta {
+            ethertype: EtherType::Ipv4,
+            tuple: Some(tuple),
+            tcp_flags: Some(TcpFlags(seg.flags.0 & 0x3f)),
+            tcp_checksum: Some(be16(data, l4 + 16)),
+            l3_offset: ETHERNET_HEADER_LEN,
+            l4_offset: Some(l4),
+            payload_offset: Some(payload_offset),
+            payload_len: Some(seg.payload.len()),
+            frame_len: data.len(),
+        };
+        let pkt = Packet { data: buf, meta };
+        debug_assert_eq!(
+            Packet::parse(pkt.data.clone()).as_ref(),
+            Ok(&pkt),
+            "builder emits well-formed frames"
+        );
+        pkt
     }
 
     /// Build a UDP/IPv4 frame.
@@ -573,5 +651,59 @@ mod tests {
         put16(&mut bytes, l3 + 6, new);
         let p = Packet::parse(bytes).unwrap();
         assert_eq!(p.tuple(), None, "fragments must not be classified by ports");
+    }
+
+    #[test]
+    fn tcp_into_matches_a_fresh_build_and_reuses_the_buffer() {
+        let b = PacketBuilder::new();
+        let t = tcp_tuple();
+        // Without options, the same bytes as `tcp`, whatever the buffer held.
+        let fresh = b.tcp(t, 7, 9, TcpFlags::ACK, b"payload!");
+        let dirty = vec![0xaa; 1500];
+        let cap = dirty.capacity();
+        let reused = b.tcp_into(
+            dirty,
+            &TcpSegment {
+                tuple: t,
+                seq: 7,
+                ack: 9,
+                flags: TcpFlags::ACK,
+                options: &[],
+                payload: b"payload!",
+            },
+        );
+        assert_eq!(reused, fresh);
+        let bytes = reused.into_bytes();
+        assert_eq!(bytes.capacity(), cap, "no reallocation");
+        // With options: the same bytes as emitting an owned header.
+        let opts = [0x01, 0x01, 0x08, 0x0a, 1, 2, 3, 4, 5, 6, 7, 8];
+        let p = b.tcp_into(
+            bytes,
+            &TcpSegment {
+                tuple: t,
+                seq: 0,
+                ack: 1,
+                flags: TcpFlags::SYN | TcpFlags::ACK,
+                options: &opts,
+                payload: &[],
+            },
+        );
+        assert!(verify_tcp_checksum(&p));
+        let hdr = p.tcp_header().expect("tcp");
+        assert_eq!(hdr.options(), &opts[..]);
+        assert_eq!((hdr.seq(), hdr.ack()), (0, 1));
+        assert_eq!(p.meta().payload_len, Some(0));
+        assert_eq!(p.len(), MIN_FRAME_LEN.max(14 + 20 + 32));
+        let mut owned = TcpHeader::simple(t.src_port, t.dst_port, 0, TcpFlags::SYN | TcpFlags::ACK);
+        owned.ack = 1;
+        owned.options = opts.to_vec();
+        assert_eq!(hdr.to_header().options, owned.options);
+        assert_eq!(hdr.checksum(), p.meta().tcp_checksum.unwrap());
+    }
+
+    #[test]
+    fn tcp_header_is_none_for_udp() {
+        let p = PacketBuilder::new().udp(FiveTuple::udp(1, 2, 3, 4), b"x");
+        assert!(p.tcp_header().is_none());
     }
 }

@@ -133,23 +133,7 @@ impl TcpHeader {
     /// Parse from the start of `buf`. Checksum is *recorded*, not verified
     /// (verification needs the IP pseudo-header; see [`TcpHeader::verify_checksum`]).
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        check_len(buf, TCP_HEADER_LEN)?;
-        let data_offset = usize::from(buf[12] >> 4) * 4;
-        if !(TCP_HEADER_LEN..=60).contains(&data_offset) {
-            return Err(NetError::BadLength);
-        }
-        check_len(buf, data_offset)?;
-        Ok(TcpHeader {
-            src_port: be16(buf, 0),
-            dst_port: be16(buf, 2),
-            seq: be32(buf, 4),
-            ack: be32(buf, 8),
-            flags: TcpFlags(buf[13] & 0x3f),
-            window: be16(buf, 14),
-            checksum: be16(buf, 16),
-            urgent: be16(buf, 18),
-            options: buf[TCP_HEADER_LEN..data_offset].to_vec(),
-        })
+        TcpHeaderView::parse(buf).map(|v| v.to_header())
     }
 
     /// Serialize into `buf` followed by `payload` coverage for the
@@ -159,8 +143,21 @@ impl TcpHeader {
     /// Only the header bytes are written (the caller places the payload);
     /// returns the header length.
     pub fn emit(&self, buf: &mut [u8], pseudo: Checksum, payload: &[u8]) -> Result<usize> {
-        let hlen = self.header_len();
-        if hlen > 60 || !self.options.len().is_multiple_of(4) {
+        self.emit_with_options(&self.options, buf, pseudo, payload)
+    }
+
+    /// [`TcpHeader::emit`] with `options` in place of the header's own
+    /// (which are ignored), so a caller can keep option bytes in a
+    /// reused buffer.
+    pub(crate) fn emit_with_options(
+        &self,
+        options: &[u8],
+        buf: &mut [u8],
+        pseudo: Checksum,
+        payload: &[u8],
+    ) -> Result<usize> {
+        let hlen = TCP_HEADER_LEN + options.len();
+        if hlen > 60 || !options.len().is_multiple_of(4) {
             return Err(NetError::Unsupported);
         }
         check_len(buf, hlen)?;
@@ -173,7 +170,7 @@ impl TcpHeader {
         put16(buf, 14, self.window);
         put16(buf, 16, 0);
         put16(buf, 18, self.urgent);
-        buf[TCP_HEADER_LEN..hlen].copy_from_slice(&self.options);
+        buf[TCP_HEADER_LEN..hlen].copy_from_slice(options);
         let mut sum = pseudo;
         sum.add_bytes(&buf[..hlen]);
         sum.add_bytes(payload);
@@ -190,6 +187,95 @@ impl TcpHeader {
         let mut sum = pseudo;
         sum.add_bytes(segment);
         sum.finish() == 0
+    }
+}
+
+/// A TCP header read in place: the fixed fields decoded on demand and the
+/// options borrowed from the frame, with the same length checks as
+/// [`TcpHeader::parse`] but no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpHeaderView<'a> {
+    /// The header bytes, options included.
+    buf: &'a [u8],
+}
+
+impl<'a> TcpHeaderView<'a> {
+    /// View the header at the start of `buf`.
+    pub fn parse(buf: &'a [u8]) -> Result<Self> {
+        check_len(buf, TCP_HEADER_LEN)?;
+        let data_offset = usize::from(buf[12] >> 4) * 4;
+        if !(TCP_HEADER_LEN..=60).contains(&data_offset) {
+            return Err(NetError::BadLength);
+        }
+        check_len(buf, data_offset)?;
+        Ok(TcpHeaderView {
+            buf: &buf[..data_offset],
+        })
+    }
+
+    /// Source port.
+    pub fn src_port(&self) -> u16 {
+        be16(self.buf, 0)
+    }
+
+    /// Destination port.
+    pub fn dst_port(&self) -> u16 {
+        be16(self.buf, 2)
+    }
+
+    /// Sequence number.
+    pub fn seq(&self) -> u32 {
+        be32(self.buf, 4)
+    }
+
+    /// Acknowledgement number.
+    pub fn ack(&self) -> u32 {
+        be32(self.buf, 8)
+    }
+
+    /// Flag bits.
+    pub fn flags(&self) -> TcpFlags {
+        TcpFlags(self.buf[13] & 0x3f)
+    }
+
+    /// Receive window.
+    pub fn window(&self) -> u16 {
+        be16(self.buf, 14)
+    }
+
+    /// Checksum as found on the wire.
+    pub fn checksum(&self) -> u16 {
+        be16(self.buf, 16)
+    }
+
+    /// Urgent pointer.
+    pub fn urgent(&self) -> u16 {
+        be16(self.buf, 18)
+    }
+
+    /// Raw option bytes.
+    pub fn options(&self) -> &'a [u8] {
+        &self.buf[TCP_HEADER_LEN..]
+    }
+
+    /// Header length in bytes including options.
+    pub fn header_len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// An owned copy of the header.
+    pub fn to_header(&self) -> TcpHeader {
+        TcpHeader {
+            src_port: self.src_port(),
+            dst_port: self.dst_port(),
+            seq: self.seq(),
+            ack: self.ack(),
+            flags: self.flags(),
+            window: self.window(),
+            checksum: self.checksum(),
+            urgent: self.urgent(),
+            options: self.options().to_vec(),
+        }
     }
 }
 
@@ -264,6 +350,51 @@ mod tests {
         let mut buf = [0u8; TCP_HEADER_LEN];
         buf[12] = 0x40; // offset 4 words = 16 bytes < 20
         assert_eq!(TcpHeader::parse(&buf), Err(NetError::BadLength));
+        assert_eq!(TcpHeaderView::parse(&buf), Err(NetError::BadLength));
+        // Offset 6 words = 24 bytes, but only 20 present.
+        buf[12] = 0x60;
+        let truncated = Err(NetError::Truncated {
+            needed: 24,
+            available: 20,
+        });
+        assert_eq!(TcpHeader::parse(&buf), truncated);
+        assert_eq!(TcpHeaderView::parse(&buf).map(|v| v.to_header()), truncated);
+        assert_eq!(
+            TcpHeaderView::parse(&buf[..19]),
+            Err(NetError::Truncated {
+                needed: 20,
+                available: 19,
+            })
+        );
+    }
+
+    #[test]
+    fn view_reads_the_same_fields_as_the_owned_parse() {
+        let hdr = TcpHeader {
+            src_port: 5201,
+            dst_port: 40_000,
+            seq: 0x0102_0304,
+            ack: 0xa0b0_c0d0,
+            flags: TcpFlags::ACK | TcpFlags::PSH,
+            window: 1234,
+            checksum: 0,
+            urgent: 7,
+            options: vec![0x01, 0x01, 0x08, 0x0a, 1, 2, 3, 4, 5, 6, 7, 8],
+        };
+        let mut buf = vec![0u8; 64];
+        let hlen = hdr.emit(&mut buf, pseudo(40), b"xyz").unwrap();
+        let view = TcpHeaderView::parse(&buf).unwrap();
+        assert_eq!(view.header_len(), hlen);
+        assert_eq!(view.options(), &hdr.options[..]);
+        assert_eq!(view.to_header(), TcpHeader::parse(&buf).unwrap());
+        assert_eq!(
+            (view.src_port(), view.dst_port(), view.seq(), view.ack()),
+            (hdr.src_port, hdr.dst_port, hdr.seq, hdr.ack)
+        );
+        assert_eq!(
+            (view.flags(), view.window(), view.urgent()),
+            (hdr.flags, 1234, 7)
+        );
     }
 
     #[test]

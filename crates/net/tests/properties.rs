@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sprayer_net::checksum::{incremental_update16, internet_checksum, Checksum};
 use sprayer_net::flow::{FiveTuple, Protocol};
 use sprayer_net::ipv4::{proto, Ipv4Header};
-use sprayer_net::packet::{Packet, PacketBuilder};
+use sprayer_net::packet::{Packet, PacketBuilder, TcpSegment};
 use sprayer_net::tcp::{TcpFlags, TcpHeader};
 
 fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
@@ -190,5 +190,37 @@ proptest! {
         // UDP checksum may be "absent" only if it was never set; our
         // builder always sets it, so both protocols must verify.
         prop_assert_eq!(folded, 0);
+    }
+
+    /// The builder fills in packet metadata without parsing the frame
+    /// back; whatever the fields, options, payload and padding setting,
+    /// that metadata is exactly what parsing the frame yields.
+    #[test]
+    fn built_tcp_metadata_equals_a_reparse(
+        (sa, sp, da, dp) in (any::<u32>(), any::<u16>(), any::<u32>(), any::<u16>()),
+        (seq, ack, flags) in (any::<u32>(), any::<u32>(), any::<u8>()),
+        option_words in 0usize..11,
+        payload in proptest::collection::vec(any::<u8>(), 0..80),
+        pad in any::<bool>(),
+        reuse in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let options: Vec<u8> = (0..4 * option_words as u8).collect();
+        let builder = if pad { PacketBuilder::new() } else { PacketBuilder::new().no_padding() };
+        let p = builder.tcp_into(
+            reuse,
+            &TcpSegment {
+                tuple: FiveTuple::tcp(sa, sp, da, dp),
+                seq,
+                ack,
+                flags: TcpFlags(flags),
+                options: &options,
+                payload: &payload,
+            },
+        );
+        let reparsed = Packet::parse(p.bytes().to_vec()).unwrap();
+        prop_assert_eq!(&reparsed, &p);
+        let hdr = p.tcp_header().unwrap();
+        prop_assert_eq!((hdr.seq(), hdr.ack(), hdr.options()), (seq, ack, &options[..]));
+        prop_assert_eq!(p.payload().unwrap(), &payload[..]);
     }
 }

@@ -4,10 +4,18 @@
 //! by [`Simulation`]. Handlers schedule future events through a
 //! [`Scheduler`]; the engine orders them by time, breaking ties by
 //! insertion order so runs are fully deterministic.
+//!
+//! The pending events live in a slab: the heap orders packed 16-byte
+//! keys and the payloads stay put in their slots, so a sift moves one
+//! `u128` instead of a whole event. A key is `(time, seq, slot)`: `seq`
+//! is a global insertion counter, unique per event, so `(time, seq)`
+//! alone decides the order and `slot` never breaks a tie. The heap is
+//! 4-ary, so the four children of a node share one cache line and a pop
+//! walks half the levels of a binary heap. Slots are recycled through a
+//! free list, and handlers push straight into the heap, so a run in
+//! steady state allocates nothing per event.
 
 use crate::time::Time;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A user-defined simulation model.
 pub trait Model {
@@ -18,14 +26,128 @@ pub trait Model {
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Handed to event handlers for scheduling future events.
+/// Bits of a heap key holding the slab slot (the low bits); `seq` sits
+/// above them and the event time fills the high 64 bits, so comparing
+/// keys as integers orders by `(time, seq)`.
+const SLOT_BITS: u32 = 24;
+/// Bits of a heap key holding the insertion sequence number.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
+/// Children per heap node.
+const ARITY: usize = 4;
+
+/// The pending-event queue, handed to event handlers for scheduling
+/// future events.
 pub struct Scheduler<E> {
-    pending: Vec<(Time, E)>,
+    /// 4-ary min-heap of packed `(time, seq, slot)` keys.
+    heap: Vec<u128>,
+    /// Event payloads, indexed by a key's slot; `None` marks a free slot.
+    slots: Vec<Option<E>>,
+    free: Vec<u32>,
+    seq: u64,
     now: Time,
     stop: bool,
 }
 
 impl<E> Scheduler<E> {
+    fn new() -> Self {
+        Scheduler {
+            heap: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            seq: 0,
+            now: Time::ZERO,
+            stop: false,
+        }
+    }
+
+    fn push(&mut self, at: Time, event: E) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = self.slots.len() as u32;
+                assert!(
+                    slot < 1 << SLOT_BITS,
+                    "more than 2^{SLOT_BITS} pending events"
+                );
+                self.slots.push(Some(event));
+                slot
+            }
+        };
+        assert!(
+            self.seq < 1 << SEQ_BITS,
+            "more than 2^{SEQ_BITS} events scheduled"
+        );
+        let key = (u128::from(at.0) << 64) | u128::from(self.seq << SLOT_BITS | u64::from(slot));
+        self.seq += 1;
+        // Sift up: move larger parents down until the key fits.
+        let heap = &mut self.heap;
+        let mut i = heap.len();
+        heap.push(key);
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if heap[parent] <= key {
+                break;
+            }
+            heap[i] = heap[parent];
+            i = parent;
+        }
+        heap[i] = key;
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.heap.first().map(|&k| Time((k >> 64) as u64))
+    }
+
+    fn pop(&mut self) -> Option<(Time, E)> {
+        let heap = &mut self.heap;
+        let last = heap.pop()?;
+        let top = match heap.first() {
+            None => last,
+            Some(&top) => {
+                // Sift the last leaf down from the root: move the
+                // smallest child up until the leaf fits.
+                let n = heap.len();
+                let mut i = 0;
+                loop {
+                    let first = ARITY * i + 1;
+                    if first >= n {
+                        break;
+                    }
+                    let min = if first + ARITY <= n {
+                        // A full node: a branch-free tournament, since
+                        // which child is smallest is a coin flip the
+                        // branch predictor cannot learn.
+                        let a = first + usize::from(heap[first + 1] < heap[first]);
+                        let b = first + 2 + usize::from(heap[first + 3] < heap[first + 2]);
+                        if heap[b] < heap[a] {
+                            b
+                        } else {
+                            a
+                        }
+                    } else {
+                        (first + 1..n).fold(first, |m, c| if heap[c] < heap[m] { c } else { m })
+                    };
+                    if heap[min] >= last {
+                        break;
+                    }
+                    heap[i] = heap[min];
+                    i = min;
+                }
+                heap[i] = last;
+                top
+            }
+        };
+        let slot = (top as u64 & ((1 << SLOT_BITS) - 1)) as u32;
+        let event = self.slots[slot as usize]
+            .take()
+            .expect("a queued key owns its slot");
+        self.free.push(slot);
+        Some((Time((top >> 64) as u64), event))
+    }
+
     /// Schedule `event` at absolute time `at` (must not be in the past).
     pub fn at(&mut self, at: Time, event: E) {
         assert!(
@@ -33,18 +155,18 @@ impl<E> Scheduler<E> {
             "cannot schedule into the past: {at:?} < {:?}",
             self.now
         );
-        self.pending.push((at, event));
+        self.push(at, event);
     }
 
     /// Schedule `event` after a delay from now.
     pub fn after(&mut self, delay: Time, event: E) {
-        self.pending.push((self.now + delay, event));
+        self.push(self.now + delay, event);
     }
 
     /// Schedule `event` immediately (still after the current handler
     /// returns, and after previously scheduled same-time events).
     pub fn now(&mut self, event: E) {
-        self.pending.push((self.now, event));
+        self.push(self.now, event);
     }
 
     /// The current simulated time.
@@ -58,35 +180,10 @@ impl<E> Scheduler<E> {
     }
 }
 
-struct HeapEntry<E> {
-    at: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The event loop driving a [`Model`].
 pub struct Simulation<M: Model> {
     model: M,
-    heap: BinaryHeap<Reverse<HeapEntry<M::Event>>>,
-    now: Time,
-    seq: u64,
+    queue: Scheduler<M::Event>,
     events_processed: u64,
 }
 
@@ -95,27 +192,20 @@ impl<M: Model> Simulation<M> {
     pub fn new(model: M) -> Self {
         Simulation {
             model,
-            heap: BinaryHeap::new(),
-            now: Time::ZERO,
-            seq: 0,
+            queue: Scheduler::new(),
             events_processed: 0,
         }
     }
 
     /// Schedule an initial event before running.
     pub fn schedule(&mut self, at: Time, event: M::Event) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.heap.push(Reverse(HeapEntry {
-            at,
-            seq: self.seq,
-            event,
-        }));
-        self.seq += 1;
+        assert!(at >= self.queue.now, "cannot schedule into the past");
+        self.queue.push(at, event);
     }
 
     /// The current simulated time.
     pub fn now(&self) -> Time {
-        self.now
+        self.queue.now
     }
 
     /// Total events processed so far.
@@ -141,28 +231,15 @@ impl<M: Model> Simulation<M> {
     /// Process a single event. Returns `false` if the queue was empty or a
     /// handler requested a stop.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(entry)) = self.heap.pop() else {
+        let Some((at, event)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(entry.at >= self.now, "event heap yielded a past event");
-        self.now = entry.at;
-        let mut sched = Scheduler {
-            pending: Vec::new(),
-            now: self.now,
-            stop: false,
-        };
-        self.model.handle(self.now, entry.event, &mut sched);
+        debug_assert!(at >= self.queue.now, "event heap yielded a past event");
+        self.queue.now = at;
+        self.queue.stop = false;
+        self.model.handle(at, event, &mut self.queue);
         self.events_processed += 1;
-        let stop = sched.stop;
-        for (at, event) in sched.pending {
-            self.heap.push(Reverse(HeapEntry {
-                at,
-                seq: self.seq,
-                event,
-            }));
-            self.seq += 1;
-        }
-        !stop
+        !self.queue.stop
     }
 
     /// Run until the queue is empty or a handler stops the simulation.
@@ -174,8 +251,8 @@ impl<M: Model> Simulation<M> {
     /// `deadline` are processed), the queue empties, or a handler stops.
     pub fn run_until(&mut self, deadline: Time) {
         loop {
-            match self.heap.peek() {
-                Some(Reverse(e)) if e.at <= deadline => {
+            match self.queue.peek_time() {
+                Some(at) if at <= deadline => {
                     if !self.step() {
                         return;
                     }
@@ -184,8 +261,8 @@ impl<M: Model> Simulation<M> {
                     // Advance the clock to the deadline so throughput
                     // denominators are well-defined even if the system
                     // went idle early.
-                    if self.now < deadline {
-                        self.now = deadline;
+                    if self.queue.now < deadline {
+                        self.queue.now = deadline;
                     }
                     return;
                 }

@@ -175,17 +175,13 @@ impl Receiver {
 
     fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
         start = start.max(self.rcv_nxt);
-        // Merge any overlapping or adjacent blocks.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .filter(|&(&s, &e)| e >= start || s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ooo[&s];
-            if e < start || s > end {
-                continue;
+        // Merge any overlapping or adjacent blocks. Blocks are disjoint
+        // and non-adjacent, so the ones touching `[start, end]` are the
+        // last few starting at or below `end`.
+        let first = start;
+        while let Some((&s, &e)) = self.ooo.range(..=end).next_back() {
+            if e < first {
+                break;
             }
             start = start.min(s);
             end = end.max(e);
@@ -321,5 +317,40 @@ mod tests {
         let mut r = Receiver::new(1_000_000);
         assert_eq!(r.on_segment(1_000_000, SEG), AckAction::Delayed);
         assert_eq!(r.rcv_nxt(), 1_000_000 + SEG);
+    }
+
+    #[test]
+    fn many_disjoint_blocks_merge_only_neighbours() {
+        let mut r = Receiver::new(0);
+        // Every other segment from 2 to 200 arrives: 100 disjoint blocks.
+        for k in 0..100 {
+            r.on_segment((2 * k + 2) * SEG, SEG);
+        }
+        assert_eq!(r.ooo.len(), 100);
+        assert_eq!(r.ooo_bytes(), 100 * SEG);
+        // Filling one gap joins exactly its two neighbours.
+        assert_eq!(
+            r.on_segment(51 * SEG, SEG),
+            imm(0, Some((50 * SEG, 53 * SEG)))
+        );
+        assert_eq!(r.ooo.len(), 99);
+        // A segment overlapping one block's tail, adjacent to nothing.
+        r.on_segment(80 * SEG + SEG / 2, SEG);
+        assert_eq!(r.ooo.get(&(80 * SEG)), Some(&(81 * SEG + SEG / 2)));
+        assert_eq!(r.ooo.len(), 99);
+        // A wide retransmission spanning several gaps swallows them all.
+        r.on_segment(120 * SEG, 11 * SEG);
+        assert_eq!(r.ooo.get(&(120 * SEG)), Some(&(131 * SEG)));
+        assert_eq!(r.ooo.len(), 94);
+        let blocks: Vec<(u64, u64)> = r.ooo.iter().map(|(&s, &e)| (s, e)).collect();
+        assert!(
+            blocks.windows(2).all(|w| w[0].1 < w[1].0),
+            "blocks stay disjoint and non-adjacent: {blocks:?}"
+        );
+        // The hole at the left edge fills: everything up to the first
+        // remaining gap drains.
+        r.on_segment(0, 2 * SEG);
+        assert_eq!(r.rcv_nxt(), 3 * SEG);
+        assert_eq!(r.ooo.len(), 93);
     }
 }

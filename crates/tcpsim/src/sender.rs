@@ -68,6 +68,11 @@ impl Default for SenderConfig {
     }
 }
 
+/// How many in-flight segments one RACK pass examines at most.
+const RACK_SCAN: usize = 128;
+/// How many segments one RACK pass marks lost at most.
+const RACK_MAX_LOST: usize = 16;
+
 #[derive(Debug, Clone, Copy)]
 struct InflightInfo {
     len: u32,
@@ -142,6 +147,9 @@ pub struct Sender {
     /// the probe's own echo, not evidence of a spurious recovery.
     probe_echo: Option<u64>,
     stats: SenderStats,
+    /// Test-only: detect losses with the unbounded reference scan.
+    #[cfg(test)]
+    full_scan_rack: bool,
 }
 
 impl Sender {
@@ -169,6 +177,8 @@ impl Sender {
             probe_backoff: 0,
             probe_echo: None,
             stats: SenderStats::default(),
+            #[cfg(test)]
+            full_scan_rack: false,
         }
     }
 
@@ -387,15 +397,14 @@ impl Sender {
             latest = Some(latest.map_or(info.send_time, |t| t.max(info.send_time)));
         }
         self.rack_time = latest;
-        // Merge with overlapping/adjacent ranges.
-        let overlapping: Vec<u64> = self
-            .sacked
-            .range(..=end)
-            .filter(|&(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.sacked[&s];
+        // Merge with overlapping/adjacent ranges. The scoreboard's ranges
+        // are disjoint and non-adjacent, so the ones touching
+        // `[start, end]` are the last few starting at or below `end`.
+        let first = start;
+        while let Some((&s, &e)) = self.sacked.range(..=end).next_back() {
+            if e < first {
+                break;
+            }
             start = start.min(s);
             end = end.max(e);
             self.sacked.remove(&s);
@@ -403,40 +412,68 @@ impl Sender {
         self.sacked.insert(start, end);
     }
 
-    /// RACK loss detection: any unsacked in-flight segment whose (latest)
-    /// transmission predates the rack clock by more than the reordering
-    /// window is deemed lost. Enters recovery (one window reduction per
-    /// episode) and queues the retransmissions.
-    fn rack_detect(&mut self, now: Time) {
-        let Some(rack_time) = self.rack_time else {
-            return;
-        };
+    /// RACK's per-ACK thresholds: the rack clock and the wait (RTT plus
+    /// reordering window) a segment must have been out for.
+    fn rack_params(&self) -> Option<(Time, Time, Time)> {
+        let rack_time = self.rack_time?;
         let reo = self.reo_wnd();
         // Use the larger of the smoothed and the most recent RTT: while a
         // queue is filling, the smoothed value lags and would mis-mark
         // segments that are merely waiting in line.
         let srtt = self.rtt.srtt().unwrap_or(Time::from_ms(1));
         let rtt = self.rack_rtt.map_or(srtt, |r| r.max(srtt));
-        let mut lost = Vec::new();
-        // Linux's RACK condition: a segment is lost when (a) something
-        // sent after it has been delivered AND (b) a full RTT plus the
-        // reordering window has elapsed since its transmission. The +RTT
-        // term keeps segments that are merely sitting in a deep FIFO
-        // from being marked.
-        // Losses cluster at the left edge; bound the scan so detection
-        // stays O(1) per ACK (deeper holes surface as snd_una advances).
-        for (&seq, info) in self.inflight.range(self.snd_una..).take(128) {
-            if lost.len() >= 16 {
+        Some((rack_time, rtt, reo))
+    }
+
+    /// The segments RACK deems lost at `now`, in sequence order, written
+    /// to `lost`; returns how many.
+    ///
+    /// Linux's RACK condition: a segment is lost when (a) something sent
+    /// after it has been delivered AND (b) a full RTT plus the reordering
+    /// window has elapsed since its transmission. The +RTT term keeps
+    /// segments that are merely sitting in a deep FIFO from being marked.
+    /// Losses cluster at the left edge; the scan is bounded so detection
+    /// stays O(1) per ACK (deeper holes surface as snd_una advances).
+    ///
+    /// The scan also stops at the first segment that was never
+    /// retransmitted and was sent at or after the rack clock: original
+    /// transmissions leave in sequence order (time only moves forward),
+    /// and a retransmission only moves a send time later, so every
+    /// segment above it was sent at or after the rack clock too and
+    /// fails (a).
+    fn rack_lost(&self, now: Time, lost: &mut [u64; RACK_MAX_LOST]) -> usize {
+        #[cfg(test)]
+        if self.full_scan_rack {
+            return self.rack_lost_full_scan(now, lost);
+        }
+        let Some((rack_time, rtt, reo)) = self.rack_params() else {
+            return 0;
+        };
+        let mut n = 0;
+        for (&seq, info) in self.inflight.range(self.snd_una..).take(RACK_SCAN) {
+            if n == RACK_MAX_LOST {
                 break;
             }
-            if info.send_time < rack_time
-                && now >= info.send_time + rtt + reo
-                && !self.is_sacked(seq)
-            {
-                lost.push(seq);
+            if info.send_time < rack_time {
+                if now >= info.send_time + rtt + reo && !self.is_sacked(seq) {
+                    lost[n] = seq;
+                    n += 1;
+                }
+            } else if !info.retransmitted {
+                break;
             }
         }
-        if lost.is_empty() {
+        n
+    }
+
+    /// RACK loss detection: any unsacked in-flight segment whose (latest)
+    /// transmission predates the rack clock by more than the reordering
+    /// window is deemed lost (see [`Sender::rack_lost`]). Enters recovery
+    /// (one window reduction per episode) and queues the retransmissions.
+    fn rack_detect(&mut self, now: Time) {
+        let mut lost = [0; RACK_MAX_LOST];
+        let n = self.rack_lost(now, &mut lost);
+        if n == 0 {
             return;
         }
         if self.recovery.is_none() {
@@ -446,7 +483,7 @@ impl Sender {
             self.undo_retrans = 0;
             self.stats.fast_retransmits += 1;
         }
-        for seq in lost {
+        for &seq in &lost[..n] {
             if !self.pending_retransmits.contains(&seq) {
                 self.pending_retransmits.push_back(seq);
             }
@@ -501,20 +538,21 @@ impl Sender {
             // buffer while a hole was repaired must NOT contribute: their
             // age measures the recovery, not the path. (Classic Karn-only
             // sampling without timestamps has exactly that flaw.)
+            // In-flight segments are disjoint, so every entry below `ack`
+            // is fully acked except possibly the last (a partial ack),
+            // which stays.
             let mut sample: Option<Time> = None;
-            let acked: Vec<u64> = self.inflight.range(..ack).map(|(&s, _)| s).collect();
-            for (i, seq) in acked.iter().enumerate() {
-                let info = self.inflight[seq];
-                if seq + u64::from(info.len) <= ack {
-                    if i == 0 {
-                        sample = Some(now.saturating_sub(info.send_time));
-                    }
-                    self.rack_time = Some(
-                        self.rack_time
-                            .map_or(info.send_time, |t| t.max(info.send_time)),
-                    );
-                    self.inflight.remove(seq);
+            while let Some(entry) = self.inflight.first_entry() {
+                let (seq, info) = (*entry.key(), *entry.get());
+                if seq >= ack || seq + u64::from(info.len) > ack {
+                    break;
                 }
+                sample.get_or_insert(now.saturating_sub(info.send_time));
+                self.rack_time = Some(
+                    self.rack_time
+                        .map_or(info.send_time, |t| t.max(info.send_time)),
+                );
+                entry.remove();
             }
             if let Some(rtt) = sample {
                 self.rtt.sample(rtt);
@@ -523,10 +561,13 @@ impl Sender {
 
             self.snd_una = ack;
             self.rto_backoff = 0;
-            // Drop scoreboard entries below the new left edge.
-            let stale: Vec<u64> = self.sacked.range(..ack).map(|(&s, _)| s).collect();
-            for s in stale {
-                let end = self.sacked.remove(&s).expect("keyed");
+            // Drop scoreboard entries below the new left edge; only the
+            // last of them can reach past it.
+            while let Some(entry) = self.sacked.first_entry() {
+                if *entry.key() >= ack {
+                    break;
+                }
+                let end = entry.remove();
                 if end > ack {
                     self.sacked.insert(ack, end);
                 }
@@ -968,5 +1009,257 @@ mod tests {
         assert!(s.is_sacked(seg(3)));
         s.on_ack(now + Time::from_us(10), ai(seg(5)));
         assert!(!s.is_sacked(seg(3)), "stale SACK info must be pruned");
+    }
+
+    #[test]
+    fn many_disjoint_sack_blocks_merge_only_neighbours() {
+        // An initial window wide enough for a long scoreboard.
+        let cfg = SenderConfig {
+            init_cwnd_segments: 120,
+            ..SenderConfig::default()
+        };
+        let cc = Box::new(Cubic::new(cfg.mss, cfg.init_cwnd_segments));
+        let mut s = Sender::new(cfg, cc);
+        assert_eq!(send_initial_window(&mut s).len(), 120);
+        // SACK every other segment: 50 disjoint blocks.
+        for k in 0..50 {
+            s.record_sack((seg(2 * k + 2), seg(2 * k + 3)));
+        }
+        assert_eq!(s.sacked.len(), 50);
+        // Fill one gap: exactly its two neighbours merge.
+        s.record_sack((seg(11), seg(12)));
+        assert_eq!(s.sacked.len(), 49);
+        assert_eq!(s.sacked.get(&seg(10)), Some(&seg(13)));
+        // A block spanning several gaps swallows everything it touches.
+        s.record_sack((seg(20), seg(31)));
+        assert_eq!(s.sacked.get(&seg(20)), Some(&seg(31)));
+        assert_eq!(s.sacked.len(), 44);
+        // Overlapping a block's tail and adjacent to the next.
+        s.record_sack((seg(40) + 100, seg(42)));
+        assert_eq!(s.sacked.get(&seg(40)), Some(&seg(43)));
+        let blocks: Vec<(u64, u64)> = s.sacked.iter().map(|(&a, &b)| (a, b)).collect();
+        assert!(
+            blocks.windows(2).all(|w| w[0].1 < w[1].0),
+            "blocks stay disjoint and non-adjacent: {blocks:?}"
+        );
+        assert_eq!(
+            s.pipe(),
+            s.flight_size() - blocks.iter().map(|b| b.1 - b.0).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn rack_scans_past_a_retransmitted_left_edge() {
+        // Segment 1 was retransmitted late (send time after the rack
+        // clock); segments 2.. are originals sent before it. The early
+        // exit must not stop at the retransmitted edge.
+        let mut s = sender(None);
+        send_initial_window(&mut s);
+        let now = Time::from_ms(1);
+        s.on_ack(now, ai(seg(1)));
+        let t2 = now + Time::from_ms(1);
+        let fresh = s.poll_segment(t2).expect("room");
+        s.on_ack(
+            t2 + Time::from_us(10),
+            ai_sack(seg(1), (fresh.seq, fresh.seq + u64::from(fresh.len))),
+        );
+        let r = s.poll_segment(t2 + Time::from_ms(3)).expect("rext");
+        assert_eq!(r.seq, seg(1));
+        // Nothing more queued; later evidence marks the originals 2..9.
+        s.pending_retransmits.clear();
+        let t3 = t2 + Time::from_ms(10);
+        let mut lost = [0; RACK_MAX_LOST];
+        let n = s.rack_lost(t3, &mut lost);
+        let mut reference = [0; RACK_MAX_LOST];
+        let m = s.rack_lost_full_scan(t3, &mut reference);
+        assert_eq!(&lost[..n], &reference[..m]);
+        assert_eq!(&lost[..n], &(2..10).map(seg).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn karn_rto_marks_without_resending_and_rack_agrees() {
+        // An RTO marks every outstanding segment retransmitted (Karn) but
+        // resends only the left edge; the marks keep their original send
+        // times, so the early exit must still agree with the full scan.
+        let mut s = sender(None);
+        send_initial_window(&mut s);
+        s.on_ack(Time::from_ms(1), ai_sack(seg(0), (seg(5), seg(6))));
+        let deadline = s.rto_deadline().unwrap();
+        s.on_rto(deadline);
+        assert!(s.inflight.values().all(|i| i.retransmitted));
+        let r = s.poll_segment(deadline).expect("left edge");
+        assert_eq!((r.seq, r.is_retransmit), (0, true));
+        assert_eq!(s.stats().retransmits, 1, "only the left edge is resent");
+        for dt in [0, 1, 5, 50, 500] {
+            let t = deadline + Time::from_ms(dt);
+            let mut lost = [0; RACK_MAX_LOST];
+            let n = s.rack_lost(t, &mut lost);
+            let mut reference = [0; RACK_MAX_LOST];
+            let m = s.rack_lost_full_scan(t, &mut reference);
+            assert_eq!(&lost[..n], &reference[..m], "at +{dt} ms");
+        }
+    }
+
+    impl Sender {
+        /// The loss-detection scan without the early exit: every
+        /// in-flight segment up to the scan bound is examined.
+        pub(super) fn rack_lost_full_scan(
+            &self,
+            now: Time,
+            lost: &mut [u64; RACK_MAX_LOST],
+        ) -> usize {
+            let Some((rack_time, rtt, reo)) = self.rack_params() else {
+                return 0;
+            };
+            let mut n = 0;
+            for (&seq, info) in self.inflight.range(self.snd_una..).take(RACK_SCAN) {
+                if n >= RACK_MAX_LOST {
+                    break;
+                }
+                if info.send_time < rack_time
+                    && now >= info.send_time + rtt + reo
+                    && !self.is_sacked(seq)
+                {
+                    lost[n] = seq;
+                    n += 1;
+                }
+            }
+            n
+        }
+    }
+
+    /// One step of a random sender workload, in segment units relative
+    /// to the sender's current left edge.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Advance the clock and transmit everything the window allows.
+        Poll { dt_us: u64 },
+        /// A cumulative ACK plus optional SACK and DSACK blocks.
+        Ack {
+            dt_us: u64,
+            advance: u64,
+            sack: Option<(u64, u64)>,
+            dsack: Option<(u64, u64)>,
+        },
+        /// Fire whichever timer is due (probe or RTO).
+        Timer,
+        /// A retransmission timeout now, resend or not.
+        Rto { resend: bool },
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u64..300).prop_map(|dt_us| Op::Poll { dt_us }),
+            (
+                0u64..2_000,
+                0u64..4,
+                proptest::option::of((0u64..24, 1u64..6)),
+                proptest::option::of((0u64..8, 1u64..3)),
+            )
+                .prop_map(|(dt_us, advance, sack, dsack)| Op::Ack {
+                    dt_us,
+                    advance,
+                    sack,
+                    dsack,
+                }),
+            (0u64..1_000).prop_map(|dt_us| Op::Ack {
+                dt_us,
+                advance: 0,
+                sack: None,
+                dsack: None,
+            }),
+            Just(Op::Timer),
+            any::<bool>().prop_map(|resend| Op::Rto { resend }),
+        ]
+    }
+
+    /// Apply `op` at (and advance) `now`; returns the segments sent.
+    fn apply(s: &mut Sender, now: &mut Time, op: Op) -> Vec<Segment> {
+        let mut sent = Vec::new();
+        match op {
+            Op::Poll { dt_us } => {
+                *now += Time::from_us(dt_us);
+                while let Some(sg) = s.poll_segment(*now) {
+                    sent.push(sg);
+                    *now += Time::from_ns(1_200);
+                }
+            }
+            Op::Ack {
+                dt_us,
+                advance,
+                sack,
+                dsack,
+            } => {
+                *now += Time::from_us(dt_us);
+                let ack = (s.snd_una + seg(advance)).min(s.snd_nxt);
+                let sack = sack.map(|(off, len)| (ack + seg(off + 1), ack + seg(off + 1 + len)));
+                // DSACKs echo old data: below the ack, or (as a probe's
+                // echo can) at the tail.
+                let dsack = dsack.map(|(back, len)| {
+                    let start = ack.saturating_sub(seg(back + len));
+                    (start, start + seg(len))
+                });
+                s.on_ack(*now, AckInfo { ack, sack, dsack });
+            }
+            Op::Timer => {
+                if let Some(d) = s.timer_deadline() {
+                    *now = (*now).max(d);
+                    s.on_timer(*now);
+                }
+            }
+            Op::Rto { resend } => {
+                s.on_rto(*now);
+                if resend {
+                    sent.extend(s.poll_segment(*now));
+                }
+            }
+        }
+        sent
+    }
+
+    proptest::proptest! {
+        /// The early-exit RACK scan marks exactly the segments the full
+        /// reference scan marks, at every step of random ACK, SACK,
+        /// DSACK, RTO and probe sequences; and a sender using either
+        /// scan follows the same trajectory.
+        #[test]
+        fn rack_early_exit_matches_full_scan(
+            ops in proptest::collection::vec(op(), 1..120),
+            reno in proptest::arbitrary::any::<bool>(),
+        ) {
+            let make = |full_scan| {
+                let cfg = SenderConfig::default();
+                let cc: Box<dyn CongestionControl> = if reno {
+                    Box::new(Reno::new(cfg.mss, cfg.init_cwnd_segments))
+                } else {
+                    Box::new(Cubic::new(cfg.mss, cfg.init_cwnd_segments))
+                };
+                let mut s = Sender::new(cfg, cc);
+                s.full_scan_rack = full_scan;
+                s
+            };
+            let (mut fast, mut full) = (make(false), make(true));
+            let (mut t_fast, mut t_full) = (Time::ZERO, Time::ZERO);
+            for op in ops {
+                let a = apply(&mut fast, &mut t_fast, op);
+                let b = apply(&mut full, &mut t_full, op);
+                proptest::prop_assert_eq!(a, b);
+                proptest::prop_assert_eq!(t_fast, t_full);
+                for probe_at in [t_fast, t_fast + Time::from_ms(1), t_fast + Time::from_ms(50)] {
+                    let mut lost = [0; RACK_MAX_LOST];
+                    let n = fast.rack_lost(probe_at, &mut lost);
+                    let mut reference = [0; RACK_MAX_LOST];
+                    let m = fast.rack_lost_full_scan(probe_at, &mut reference);
+                    proptest::prop_assert_eq!(&lost[..n], &reference[..m]);
+                }
+                proptest::prop_assert_eq!(&fast.pending_retransmits, &full.pending_retransmits);
+                proptest::prop_assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", full.stats()));
+                proptest::prop_assert_eq!(fast.cwnd(), full.cwnd());
+                proptest::prop_assert_eq!(fast.pipe(), full.pipe());
+                proptest::prop_assert_eq!(fast.timer_deadline(), full.timer_deadline());
+                proptest::prop_assert_eq!(&fast.sacked, &full.sacked);
+            }
+        }
     }
 }
